@@ -115,6 +115,7 @@ class LiveSession {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] Coordinator& coordinator() { return *coord_; }
   [[nodiscard]] const Coordinator& coordinator() const { return *coord_; }
+  [[nodiscard]] const ResourceManager& manager() const { return manager_; }
 
  private:
   std::string label_;

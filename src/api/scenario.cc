@@ -103,7 +103,17 @@ bool ScenarioSpec::try_set(const std::string& key, const std::string& value) {
   } else if (key == "stream") {
     streaming = parse_long(key, value) != 0;
   } else if (key == "index") {
-    use_index = parse_long(key, value) != 0;
+    // The eligibility index is the only scheduling path. index=1 stays
+    // accepted (as a no-op) because journal headers carry it.
+    const long on = parse_long(key, value);
+    if (on == 0) {
+      throw std::invalid_argument(
+          "index=0 was removed: the full-scan fallback no longer exists "
+          "and the eligibility index is always on");
+    }
+    if (on != 1) {
+      throw std::invalid_argument("index must be 1, got \"" + value + "\"");
+    }
   } else if (key == "shards") {
     const std::size_t n = parse_size(key, value);
     if (n < 1 || n > 64) {
@@ -231,7 +241,10 @@ std::string ScenarioSpec::to_kv() const {
   emit_generator(out, "protocol", protocol_gen);
   out += "open-loop=" + std::string(open_loop ? "1" : "0") + "\n";
   out += "stream=" + std::string(streaming ? "1" : "0") + "\n";
-  out += "index=" + std::string(use_index ? "1" : "0") + "\n";
+  // Always the literal index=1: journal headers embed this text, and a
+  // journal written before the full-scan fallback was removed carries the
+  // same line, so header bytes stay identical across that change.
+  out += "index=1\n";
   out += "shards=" + std::to_string(shards) + "\n";
   // Topology shapes the world (phases, uplink latency), so a journaled
   // hier run must replay hier. Only configured knobs are emitted; flat

@@ -71,23 +71,17 @@ struct ScenarioSpec {
   // stream=1: device sessions are pulled lazily from the churn model
   // (requires churn=) — O(devices) memory instead of O(devices × horizon).
   bool streaming = false;
-  // index=0 disables the incremental eligibility index and falls back to
-  // the full-fleet-scan scheduling hot path. Both modes simulate
-  // byte-identically with *each other*; the knob exists for A/B perf
-  // measurement (bench/hotpath_index) and as an escape hatch. Note that
-  // index=0 preserves the pre-index scan *algorithms* (their cost profile),
-  // not bit-exact pre-index trajectories: idle-sweep randomness is drawn
-  // from a per-sweep stream derived from the scenario seed in both modes,
-  // no longer from the engine RNG.
-  bool use_index = true;
+  // The eligibility index is always on, so there is no field for it:
+  // `index=1` parses as a no-op (journal headers carry it) and `index=0`
+  // throws, naming the removal of the full-scan fallback.
 
   // Simulation.
   SimTime horizon = 28.0 * kDay;
 
   // shards=N: sharded fleet execution (1-64). The fleet is partitioned
   // into N contiguous device shards and the fleet-proportional passes
-  // (idle-pool sweep filtering, eligibility-index rebuckets, index=0
-  // supply scans) run on a bounded worker pool with shard-ordered merges.
+  // (idle-pool sweep filtering, eligibility-index rebuckets) run on a
+  // bounded worker pool with shard-ordered merges.
   // Purely an execution knob: results are byte-identical for any value,
   // and the default 1 runs the serial path with no pool at all.
   std::size_t shards = 1;
@@ -129,7 +123,7 @@ struct ScenarioSpec {
   // min-rounds, max-rounds, min-demand, max-demand, interarrival-min,
   // interarrival-s, base-trace, task-s, task-cv, arrival, arrival.<key>,
   // mix, mix.<key>, churn, churn.<key>, protocol (sync|overcommit|async),
-  // protocol.<key>, open-loop (0|1), stream (0|1), index (0|1), shards
+  // protocol.<key>, open-loop (0|1), stream (0|1), index (1 only), shards
   // (1-64), topology (flat|hier), topo.regions (2-64), topo.sync_latency,
   // topo.phase_spread, journal (0|1), journal.dir, snapshot_every /
   // snapshot-every, journal.halt-after. Returns false if the key is not a

@@ -37,9 +37,9 @@
 //     of coming from a pre-built spec list.
 //
 // Supply estimation and idle-pool sweeps run against an incremental
-// eligibility index (core/elig_index.h) by default; `use_index=false` keeps
-// the original full-fleet-scan paths, and the two modes are byte-identical
-// (asserted by tests/hotpath_index_test.cc).
+// eligibility index (core/elig_index.h). Its supply aggregates, signatures
+// and the manager's wants mask are checked for exact equality against a
+// test-only brute-force reference (tests/reference/brute_force.h).
 //
 // Sharded fleet execution: when the engine carries a worker pool
 // (`Engine::set_shards(N)`, the `shards=N` scenario knob), the fleet is
@@ -52,9 +52,8 @@
 //     permutation in batches, filter each batch's devices against a
 //     snapshot of the manager's wants mask in parallel (a pure read of
 //     cached signatures), and replay offers serially in permutation order;
-//   * eligibility-index rebuckets and full-scan supply-rate queries
-//     (`index=0`) split by device range and merge exact per-shard
-//     aggregates in shard order.
+//   * eligibility-index rebuckets split by device range and merge exact
+//     per-shard aggregates in shard order.
 //
 // Sharding is an execution knob, not a semantic one: every parallel phase
 // is pure, every merged quantity is exact (integer counts, integer-valued
@@ -115,15 +114,6 @@ struct CoordinatorConfig {
   // scenario seed (NOT the engine's), so every policy replays the same
   // world.
   std::uint64_t seed = 0;
-
-  // Incremental eligibility index (core/elig_index.h). On by default:
-  // supply-rate queries and idle-pool sweeps consult per-signature atom
-  // buckets instead of rescanning the fleet. The fallback (`index=0` /
-  // `--no-index`) keeps the original full-scan algorithms (same cost
-  // profile, but not bit-exact pre-index trajectories — sweep randomness
-  // comes from a per-sweep derived stream in both modes); index and scan
-  // produce byte-identical simulations, which tests assert.
-  bool use_index = true;
 
   // Durability hook (src/journal/): every external event — check-ins,
   // check-outs, submissions, admissions, assignments, responses,
@@ -218,10 +208,10 @@ class Coordinator {
   [[nodiscard]] std::size_t resident_session_count() const;
 
   // --- hot-path accounting ----------------------------------------------
-  // Per-event work evidence for the perf-regression harness: with the index
-  // on, sweep offers stop scaling with fleet size (sweeps stop as soon as no
-  // request wants devices and skip ineligible devices outright), and supply
-  // queries stop rescanning devices.
+  // Per-event work evidence for the perf-regression harness: sweep offers
+  // do not scale with fleet size (sweeps stop as soon as no request wants
+  // devices and skip ineligible devices outright), and supply queries never
+  // rescan devices.
   struct HotpathStats {
     std::uint64_t sweeps = 0;            // idle-pool sweep passes executed
     std::uint64_t sweep_visits = 0;      // idle devices visited across sweeps
@@ -232,12 +222,12 @@ class Coordinator {
   };
   [[nodiscard]] const HotpathStats& hotpath_stats() const { return hstats_; }
 
-  // The eligibility index, or nullptr with `use_index=false`. For tests.
-  [[nodiscard]] const EligibilityIndex* index() const { return index_.get(); }
+  // The eligibility index. For tests and the inspector.
+  [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
 
   // The struct-of-arrays hot-state store backing the sweep filter, the
-  // `index=0` supply scans and the participation budgets. For tests (the
-  // shard differential wall's SoA-vs-live property checks read it).
+  // index rebuckets and the participation budgets. For tests (the shard
+  // differential wall's SoA-vs-live property checks read it).
   [[nodiscard]] const FleetHotState& hot_state() const { return hot_; }
 
   // --- sharded execution ------------------------------------------------
@@ -269,7 +259,6 @@ class Coordinator {
   struct ShardStats {
     std::uint64_t sharded_sweeps = 0;  // sweeps run through the pipeline
     std::uint64_t filter_batches = 0;  // parallel filter dispatches
-    std::uint64_t sharded_supply_scans = 0;  // index=0 fleet scans sharded
     // Wall time spent inside sweep passes (all flavors) — the denominator
     // of the hotpath bench's sweep-throughput metric. Wall time, so shard-
     // and machine-variant by nature.
@@ -297,6 +286,14 @@ class Coordinator {
   [[nodiscard]] const topology::RegionMap& region_map() const {
     return regions_;
   }
+  // Per-region supply partials for a requirement, computed on first sight
+  // (the per-device inputs are fixed at init) and cached. Hier supply
+  // queries re-aggregate them across regions; the region-grouped sums
+  // equal the flat index aggregates exactly (integer counts, integer-valued
+  // double sums, maxima), which the topology wall checks against the
+  // brute-force reference.
+  [[nodiscard]] const std::vector<topology::RegionSupply>& region_supply(
+      const Requirement& req) const;
 
   // --- durability -------------------------------------------------------
   // Serializes the coordinator's full mutable state — engine clock + RNG,
@@ -377,13 +374,6 @@ class Coordinator {
   // requirement, computed once from the generated population.
   [[nodiscard]] double supply_rate(const Requirement& req) const;
 
-  // Hier mode: per-region supply partials for a requirement, computed on
-  // first sight (the per-device inputs are fixed at init) and re-aggregated
-  // across regions on every query. The region-grouped sums equal the flat
-  // scan exactly (integer counts, integer-valued double sums, maxima).
-  [[nodiscard]] const std::vector<topology::RegionSupply>& region_supply(
-      const Requirement& req) const;
-
   // Bitmask of requirement indices proven identical between the index's and
   // the manager's registration orders (a prefix; verified incrementally,
   // each bit once). The sweep skip only trusts index signatures on aligned
@@ -403,8 +393,8 @@ class Coordinator {
   // Struct-of-arrays hot state (device/fleet_partition.h): eligibility
   // signatures (written by the index), idle-pool positions, participation
   // budgets (Device objects are views over that column), dense spec and
-  // session columns for the `index=0` supply scans. Initialized in the
-  // constructor; array addresses are stable for the run.
+  // session columns read by index rebuckets and the hier region partials.
+  // Initialized in the constructor; array addresses are stable for the run.
   FleetHotState hot_;
 
   // Idle pool as a dense vector + position map (hot_.idle_pos): O(1)
@@ -427,7 +417,7 @@ class Coordinator {
   sim::WorkerPool* workers_ = nullptr;
   std::vector<std::uint32_t> shard_of_;     // device -> home shard
   std::vector<std::size_t> segment_size_;   // per-shard idle-segment sizes
-  mutable ShardStats sstats_;
+  ShardStats sstats_;
 
   // --- hierarchical topology state --------------------------------------
   // Region partition (1 region in flat mode), the uplink latency every
@@ -463,9 +453,10 @@ class Coordinator {
   };
   std::vector<PendingRelease> deferred_releases_;
 
-  // Incremental eligibility/availability index (use_index mode). Mutable
-  // mechanics live behind the pointer: supply_rate() is const but lazily
-  // registers requirements with the index on first sight.
+  // Incremental eligibility/availability index, built in the constructor
+  // and never null. Mutable mechanics live behind the pointer:
+  // supply_rate() is const but lazily registers requirements with the
+  // index on first sight.
   std::unique_ptr<EligibilityIndex> index_;
   std::size_t aligned_bits_ = 0;  // verified prefix, aligned_requirement_mask
   mutable HotpathStats hstats_;

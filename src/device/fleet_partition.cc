@@ -24,9 +24,8 @@ void FleetHotState::init(std::span<const Device> devices, std::size_t shards) {
   session_time = 0.0;
   session_count = 0.0;
 
-  // One pass in device order: the same accumulation order the legacy
-  // Device-walk loops used, so every double aggregate reproduces the scan
-  // path bit for bit.
+  // One pass in device order: a fixed accumulation order, so every double
+  // aggregate is reproducible bit for bit.
   for (const Device& d : devices) {
     spec.push_back(d.spec());
     session_checkins.push_back(static_cast<double>(d.sessions().size()));

@@ -99,7 +99,9 @@ LineServer::LineServer(Options opts, IngestQueue& queue)
     ::close(listen_fd_);
     throw_errno("listen");
   }
-  thread_ = std::thread([this] { serve(); });
+  // The accept thread gets its own copy of the descriptor: listen_fd_ is
+  // only read or written by the owning thread from here on.
+  thread_ = std::thread([this, fd = listen_fd_] { serve(fd); });
 }
 
 LineServer::~LineServer() {
@@ -111,32 +113,43 @@ LineServer::~LineServer() {
 }
 
 void LineServer::stop() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
+  if (!stopping_.exchange(true)) {
+    // shutdown() wakes the accept thread out of accept()/read() without
+    // releasing either descriptor: the thread may still be blocked on
+    // them, so closing here could hand a reused number to its next call.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
   }
-  // Closing the fds kicks accept()/read() out of their blocking calls.
+  if (thread_.joinable()) thread_.join();
+  // The accept thread is gone; only now is closing the listener safe.
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  const int conn = conn_fd_.exchange(-1);
-  if (conn >= 0) ::shutdown(conn, SHUT_RDWR);
-  if (thread_.joinable()) thread_.join();
 }
 
-void LineServer::serve() {
+void LineServer::serve(int listen_fd) {
   while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed (stop) or fatal
+      break;  // listener shut down (stop) or fatal
     }
-    conn_fd_.store(fd);
+    {
+      // Publish the connection for stop() — unless stop() already ran its
+      // shutdown pass, which this connection would then have missed.
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        break;
+      }
+      conn_fd_ = fd;
+    }
     serve_connection(fd);
-    const int owned = conn_fd_.exchange(-1);
-    if (owned >= 0) ::close(owned);
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fd_ = -1;
+    ::close(fd);
   }
 }
 

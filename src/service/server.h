@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -36,6 +37,8 @@ class LineServer {
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
+  // Wakes the accept thread with shutdown(), joins it, then closes the
+  // listener. Idempotent; the destructor calls it.
   void stop();
 
   // Human-readable endpoint ("unix:<path>" or "tcp:<port>"). For TCP with
@@ -43,14 +46,19 @@ class LineServer {
   [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
 
  private:
-  void serve();
+  // Runs on the accept thread over a listener descriptor fixed before the
+  // thread started.
+  void serve(int listen_fd);
   void serve_connection(int fd);
 
   Options opts_;
   IngestQueue& queue_;
   std::string endpoint_;
-  int listen_fd_ = -1;
-  std::atomic<int> conn_fd_{-1};
+  int listen_fd_ = -1;  // owning thread only
+  // The connection being served (-1 = none). Guarded so stop() never
+  // shuts down a descriptor the accept thread has already closed.
+  std::mutex conn_mu_;
+  int conn_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread thread_;
 };

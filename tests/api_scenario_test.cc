@@ -104,6 +104,43 @@ TEST(ScenarioSpec, BadKeysAndValuesThrow) {
   EXPECT_THROW(sc.set("topo.unknown-knob", "1"), std::invalid_argument);
 }
 
+// The index cannot be switched off: index=0 must fail loudly and name the
+// removed full-scan fallback, at the spec and through the builder, while
+// index=1 — which every journal header carries — stays accepted and
+// changes nothing.
+TEST(IndexKnob, ParsesAndDefaultsOn) {
+  ScenarioSpec sc;
+  const std::string kv = sc.to_kv();
+  EXPECT_TRUE(sc.try_set("index", "1"));
+  EXPECT_EQ(sc.to_kv(), kv);
+  try {
+    (void)sc.try_set("index", "0");
+    ADD_FAILURE() << "index=0 must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("index=0"), std::string::npos) << what;
+    EXPECT_NE(what.find("removed"), std::string::npos) << what;
+  }
+  EXPECT_EQ(sc.to_kv(), kv);  // a rejected set leaves the spec untouched
+  EXPECT_THROW(sc.set("index", "maybe"), std::invalid_argument);
+  EXPECT_THROW(ExperimentBuilder().set("index", "0"), std::invalid_argument);
+  EXPECT_THROW(ExperimentBuilder().override_kv("index=0"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ExperimentBuilder().override_kv("index=1"));
+}
+
+// Journal headers embed the canonical kv, so a default scenario must keep
+// serializing to exactly these bytes — including the literal index=1 line
+// that journals written while index=0 still existed carry.
+TEST(ScenarioSpec, DefaultCanonicalKvBytesAreStable) {
+  EXPECT_EQ(ScenarioSpec().to_kv(),
+            "name=default\nseed=42\ndevices=7000\njobs=50\nworkload=even\n"
+            "bias=none\nhorizon-s=2419200\nmin-rounds=2\nmax-rounds=30\n"
+            "min-demand=8\nmax-demand=100\ninterarrival-s=1800\n"
+            "base-trace=400\ntask-s=120\ntask-cv=0.25\nopen-loop=0\n"
+            "stream=0\nindex=1\nshards=1\nsnapshot_every=0\n");
+}
+
 TEST(ScenarioSpec, ParseBiasHandlesNone) {
   EXPECT_EQ(api::parse_bias("none"), std::nullopt);
   EXPECT_EQ(api::parse_bias("compute"), trace::BiasedWorkload::kComputeHeavy);

@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 
+#include "reference/brute_force.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -268,25 +269,25 @@ TEST(GoldenMetrics, ExplicitSyncProtocolMatchesLegacyDefaultExactly) {
   }
 }
 
-// The golden runs themselves must not depend on the index knob: lock the
-// equivalence at golden granularity too, so a future index change that
-// breaks it is caught by the same harness that pins the metrics.
-TEST(GoldenMetrics, IndexKnobDoesNotChangeGoldenMetrics) {
+// The eligibility index behind every golden cell must agree exactly with
+// the brute-force reference — supply aggregates, device signatures, the
+// wants mask and (hier) region partials — at several points of the run
+// and at the horizon, and the checked, sliced run must reproduce the batch
+// run's metric map exactly.
+TEST(GoldenMetrics, IndexMatchesBruteForceReferenceThroughoutGoldenRuns) {
   for (const auto& cell : golden_cells()) {
     SCOPED_TRACE(cell.name);
-    ScenarioSpec scan = cell.scenario;
-    scan.use_index = false;
-    const RunResult a = ExperimentBuilder()
-                            .scenario(cell.scenario)
-                            .policy(cell.policy)
-                            .run();
-    const RunResult b =
-        ExperimentBuilder().scenario(scan).policy(cell.policy).run();
-    const auto ma = collect_metrics(a, cell.scenario.num_devices,
+    const RunResult checked =
+        reference::run_checked(cell.scenario, cell.policy, 4, cell.name);
+    const RunResult batch = ExperimentBuilder()
+                                .scenario(cell.scenario)
+                                .policy(cell.policy)
+                                .run();
+    const auto mc = collect_metrics(checked, cell.scenario.num_devices,
                                     cell.scenario.horizon);
-    const auto mb = collect_metrics(b, cell.scenario.num_devices,
+    const auto mb = collect_metrics(batch, cell.scenario.num_devices,
                                     cell.scenario.horizon);
-    EXPECT_EQ(ma, mb);  // exact: same process, same arithmetic
+    EXPECT_EQ(mc, mb);  // exact: same process, same arithmetic
   }
 }
 

@@ -2,8 +2,8 @@
 // protocols and their registry, deterministic end-to-end lifecycles under
 // controlled device populations (over-selection straggler release with
 // day-budget refunds, buffered-async commits with staleness), and the
-// protocol-agnostic lock on the sweep/index hot path (every protocol must
-// replay byte-identically across index=0/1).
+// protocol-agnostic lock on the sweep/index hot path (under every protocol
+// the index must match the brute-force reference throughout the run).
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
@@ -11,6 +11,7 @@
 #include "protocol/builtins.h"
 #include "protocol/registry.h"
 #include "scheduler/fifo_sched.h"
+#include "reference/brute_force.h"
 #include "sim/engine.h"
 #include "venn/venn.h"
 
@@ -527,37 +528,39 @@ TEST(ProtocolScenario, SyncScenarioKeepsZeroProtocolOverheads) {
 }
 
 // The sweep/index hot path must be protocol-agnostic: for every protocol,
-// index=1 and index=0 replay the identical simulation, and re-running at
-// the same seed replays byte-identically. (This is the test-side lock of
-// the bench/hotpath_index protocol check and of the scenario_gallery
-// index=0 replay column.)
+// the index must equal the brute-force reference scan at every checked
+// point of the trajectory, the checked (sliced) run must equal the batch
+// run, and re-running at the same seed replays byte-identically.
 class ProtocolIndexEquivalenceTest
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ProtocolIndexEquivalenceTest, IndexAndScanTrajectoriesIdentical) {
   const std::string proto = GetParam();
-  RunResult results[3];
-  int slot = 0;
-  for (const bool use_index : {false, true, true}) {
-    ExperimentBuilder b;
-    b.devices(350).jobs(6).horizon(5.0 * kDay).seed(23);
-    b.set("arrival", "poisson");
-    b.set("churn", "diurnal");
-    b.set("protocol", proto);
-    b.set("index", use_index ? "1" : "0");
-    results[slot++] = b.build().run(PolicySpec{"venn"});
-  }
-  const RunResult& scan = results[0];
-  const RunResult& index = results[1];
-  const RunResult& replay = results[2];
-  for (const RunResult* other : {&index, &replay}) {
-    ASSERT_EQ(scan.jobs.size(), other->jobs.size());
-    for (std::size_t i = 0; i < scan.jobs.size(); ++i) {
-      EXPECT_EQ(scan.jobs[i].jct, other->jobs[i].jct) << proto << " job " << i;
-      EXPECT_EQ(scan.jobs[i].completed_rounds, other->jobs[i].completed_rounds);
-      EXPECT_EQ(scan.jobs[i].total_aborts, other->jobs[i].total_aborts);
+  ScenarioSpec sc;
+  sc.seed = 23;
+  sc.num_devices = 350;
+  sc.num_jobs = 6;
+  sc.horizon = 5.0 * kDay;
+  sc.set("arrival", "poisson");
+  sc.set("churn", "diurnal");
+  sc.set("protocol", proto);
+  const RunResult checked =
+      reference::run_checked(sc, PolicySpec{"venn"}, 4, proto);
+  const RunResult batch =
+      ExperimentBuilder().scenario(sc).policy(PolicySpec{"venn"}).run();
+  const RunResult replay =
+      ExperimentBuilder().scenario(sc).policy(PolicySpec{"venn"}).run();
+  EXPECT_GT(checked.protocol.commits, 0u) << proto;
+  for (const RunResult* other : {&batch, &replay}) {
+    ASSERT_EQ(checked.jobs.size(), other->jobs.size());
+    for (std::size_t i = 0; i < checked.jobs.size(); ++i) {
+      EXPECT_EQ(checked.jobs[i].jct, other->jobs[i].jct)
+          << proto << " job " << i;
+      EXPECT_EQ(checked.jobs[i].completed_rounds,
+                other->jobs[i].completed_rounds);
+      EXPECT_EQ(checked.jobs[i].total_aborts, other->jobs[i].total_aborts);
     }
-    EXPECT_TRUE(scan.protocol == other->protocol) << proto;
+    EXPECT_TRUE(checked.protocol == other->protocol) << proto;
   }
 }
 

@@ -2,8 +2,9 @@
 //
 // The parser is the shared front door of the CLI, benches, sweep grids and
 // config files, and it grew a wide dotted-knob surface (arrival.* / mix.* /
-// churn.* / protocol.* plus the execution knobs index= and shards=). This
-// test throws a seeded random corpus at it and requires:
+// churn.* / protocol.* plus the execution knob shards= and the
+// journal-compatibility key index=, which accepts only 1). This test
+// throws a seeded random corpus at it and requires:
 //
 //   * no crash and no UB for ANY input — the only acceptable failure mode
 //     is std::invalid_argument (std::exception for registry lookups);
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "util/parse.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -128,7 +130,6 @@ void expect_specs_equal(const api::ScenarioSpec& a, const api::ScenarioSpec& b,
   EXPECT_EQ(a.protocol_gen.params.kv, b.protocol_gen.params.kv);
   EXPECT_EQ(a.open_loop, b.open_loop) << "corpus seed " << seed;
   EXPECT_EQ(a.streaming, b.streaming) << "corpus seed " << seed;
-  EXPECT_EQ(a.use_index, b.use_index) << "corpus seed " << seed;
   EXPECT_EQ(a.shards, b.shards) << "corpus seed " << seed;
   EXPECT_EQ(a.topology, b.topology) << "corpus seed " << seed;
   EXPECT_EQ(a.topo_regions, b.topo_regions) << "corpus seed " << seed;
@@ -284,6 +285,28 @@ TEST(ScenarioFuzz, ShardsKnobBounds) {
 
 // The topology knobs: mode-validated, range-validated, conflicts and
 // unknown topo.* keys rejected with messages naming the offender.
+// index= accepts exactly the value journals carry (1); every other pool
+// value — 0 included, which names the removed full-scan fallback — is an
+// invalid_argument, and no attempt changes the canonical kv.
+TEST(ScenarioFuzz, IndexKnobAcceptsOnlyOne) {
+  api::ScenarioSpec spec;
+  const std::string kv = spec.to_kv();
+  for (const std::string& value : value_pool()) {
+    try {
+      EXPECT_TRUE(spec.try_set("index", value));
+      long parsed = 0;
+      EXPECT_NO_THROW(parsed = internal::parse_long("index", value))
+          << value;
+      EXPECT_EQ(parsed, 1) << "accepted index=" << value;
+    } catch (const std::invalid_argument&) {
+      // rejected value
+    }
+    EXPECT_EQ(spec.to_kv(), kv) << "index=" << value;
+  }
+  EXPECT_THROW(spec.set("index", "0"), std::invalid_argument);
+  EXPECT_NO_THROW(spec.set("index", "1"));
+}
+
 TEST(ScenarioFuzz, TopologyKnobBounds) {
   api::ScenarioSpec spec;
   EXPECT_TRUE(spec.topology.empty());
