@@ -40,6 +40,7 @@
 
 #include "api/live.h"
 #include "service/client.h"
+#include "service/codec.h"
 #include "service/daemon.h"
 #include "service/dump.h"
 #include "service/server.h"
@@ -137,6 +138,12 @@ int run_serve(int argc, char** argv) {
       item->reply.set_value(daemon.dispatch(item->line));
     }
     queue.close();
+    // A line the client sent right after drain/shutdown may have been
+    // queued before close(); its connection thread waits on the reply, and
+    // stop() joins that thread, so answer it rather than leave it waiting.
+    while (auto item = queue.pop()) {
+      item->reply.set_value(service::err_reply("daemon is shutting down"));
+    }
     server.stop();
     VENN_INFO << "coordinatord exiting; journal " << daemon.journal_path();
   } catch (const std::exception& e) {

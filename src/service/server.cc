@@ -22,11 +22,14 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-// write(2) until done; false on a dead peer (the daemon must not care).
+// send(2) until done; false on a dead peer (the daemon must not care).
+// MSG_NOSIGNAL turns a peer that hung up before reading its reply into
+// EPIPE here instead of a process-killing SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -118,8 +121,12 @@ void LineServer::stop() {
     // releasing either descriptor: the thread may still be blocked on
     // them, so closing here could hand a reused number to its next call.
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+    // Only the read side of the live connection: the accept thread may be
+    // about to write the reply to the command that made the caller stop
+    // (drain, shutdown), and that reply must still reach the client. The
+    // thread closes the descriptor once it sees stopping_ or EOF.
     std::lock_guard<std::mutex> lock(conn_mu_);
-    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
+    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RD);
   }
   if (thread_.joinable()) thread_.join();
   // The accept thread is gone; only now is closing the listener safe.

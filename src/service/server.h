@@ -11,6 +11,13 @@
 // Framing violations are handled at the transport: a line longer than
 // codec::kMaxLineBytes gets an err reply and the connection is dropped
 // without the bytes ever reaching the daemon loop.
+//
+// Shutdown delivers what was already answered: stop() half-closes only the
+// read side of the live connection, so a reply the daemon loop produced
+// before stopping (the `ok drained ...` of a drain, say) is still written
+// before the connection is closed. A client that hangs up before reading
+// its reply costs only that reply — the write fails quietly (no SIGPIPE)
+// and the server goes back to accept().
 #pragma once
 
 #include <atomic>
@@ -37,8 +44,10 @@ class LineServer {
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
-  // Wakes the accept thread with shutdown(), joins it, then closes the
-  // listener. Idempotent; the destructor calls it.
+  // Wakes the accept thread with shutdown() — the listener fully, the live
+  // connection on its read side only, so an in-flight reply is still
+  // delivered — joins it, then closes the listener. Idempotent; the
+  // destructor calls it.
   void stop();
 
   // Human-readable endpoint ("unix:<path>" or "tcp:<port>"). For TCP with
