@@ -30,22 +30,6 @@
 // fleet rescan per requirement) fails it. A change that legitimately moves
 // a counter up regenerates the baseline in the same commit.
 //
-// Sharded-sweep cells: a second, sweep-dominated workload — an insatiable
-// high-performance job keeps the wants mask non-empty forever, so every
-// job arrival sweeps the ENTIRE idle pool and skips nearly every device by
-// signature — measured at a large fleet across shards {1, 2, 4, 8}
-// (`--quick`: a smaller fleet × {1, 8}). The metric is sweep throughput
-// (pool entries visited per second of in-sweep wall time); the cells also
-// assert that every shard count replays the shards=1 trajectory and
-// canonical sweep counters byte-identically. The filter phase is the
-// struct-of-arrays path: a contiguous signature∩wants bitmask scan over
-// the FleetHotState columns, serial and sharded alike. With a baseline,
-// each shards=N vs shards=1 throughput ratio must stay within the
-// tolerance of the baseline's ratio (machine-invariant: both sides run on
-// the same hardware in the same process), and the full run additionally
-// enforces --min-shard-speedup (default 1.2x) on the best shard cell — the
-// scaling evidence committed in BENCH_hotpath.json.
-//
 // Journaling-overhead cell: the identical 150k-device scenario with the
 // event journal off and on (src/journal/ JournalWriter, round-boundary
 // flushes). Both modes must simulate the same run; the journal-on wall
@@ -102,19 +86,6 @@ struct CellResult {
   double per_event_us = 0.0;
   double avg_jct = 0.0;
   WorkCounters work;
-};
-
-struct ShardCell {
-  std::size_t devices = 0;
-  std::size_t jobs = 0;
-  std::size_t shards = 0;
-  double wall_s = 0.0;          // whole-run wall time
-  double sweep_wall_s = 0.0;    // in-sweep wall time
-  std::uint64_t sweep_visits = 0;
-  double visits_per_sec = 0.0;  // sweep throughput (visits / sweep wall)
-  double avg_jct = 0.0;
-  Coordinator::HotpathStats hstats;  // canonical counters, for identity
-  std::vector<double> jcts;          // per-job trajectory, for identity
 };
 
 ScenarioSpec cell_scenario(std::size_t devices, std::size_t jobs,
@@ -261,17 +232,13 @@ std::pair<CellResult, CellResult> run_journal_pair(std::size_t devices,
   return {off, on};
 }
 
-void write_shard_json(std::ofstream& out, const std::vector<ShardCell>& cells);
-
 void write_json(const std::string& path, double horizon_days,
-                const std::vector<CellResult>& cells,
-                const std::vector<ShardCell>& shard_cells) {
+                const std::vector<CellResult>& cells) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"hotpath_index\",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf), "  \"horizon_days\": %g,\n", horizon_days);
   out << buf;
-  if (!shard_cells.empty()) write_shard_json(out, shard_cells);
   out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
@@ -295,13 +262,11 @@ void write_json(const std::string& path, double horizon_days,
 // Minimal lookup into a previous output file: find the cell's identifying
 // prefix, then read the named throughput field after it. The file format
 // is our own (write_json above), so no general JSON parsing is needed.
-// Index and journal cells carry "events_per_sec" and the work counters;
-// shard cells carry "visits_per_sec" (sweep throughput — a different
-// metric, deliberately not published under the events key). The lookup delegates to
-// orchestrator::find_cell_metric, which bounds the key search to the
-// matched cell object: an unbounded search (the pre-PR 9 code) silently
-// read the NEXT cell's value when a cell lacked the key — e.g. an old
-// baseline without "visits_per_sec" — and gated against the wrong number.
+// Index and journal cells carry "events_per_sec" and the work counters.
+// The lookup delegates to orchestrator::find_cell_metric, which bounds the
+// key search to the matched cell object: an unbounded search silently
+// read the NEXT cell's value when a cell lacked the key, and gated
+// against the wrong number.
 bool baseline_metric(const std::string& text, std::size_t devices,
                      std::size_t jobs, const std::string& mode,
                      const char* metric_key, double* out) {
@@ -318,117 +283,6 @@ bool baseline_events_per_sec(const std::string& text, const CellResult& c,
                          out);
 }
 
-// ------------------------------------------------- sharded sweep cells --
-
-// Always-on low-spec fleet (eligible for General only). One serial stream
-// independent of the shard count, so every shard cell replays the
-// identical world.
-std::vector<Device> make_scan_fleet(std::size_t devices, SimTime horizon,
-                                    std::uint64_t seed) {
-  Rng rng(Rng::derive(seed, "shard-fleet"));
-  std::vector<Device> fleet;
-  fleet.reserve(devices);
-  for (std::size_t i = 0; i < devices; ++i) {
-    // Below the rich thresholds on both axes: General-only signatures.
-    const DeviceSpec spec{0.05 + 0.4 * rng.uniform(),
-                          0.05 + 0.4 * rng.uniform()};
-    fleet.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec,
-                       std::vector<Session>{{0.0, horizon}});
-  }
-  return fleet;
-}
-
-// Sweep-dominated world: an always-on low-spec fleet (eligible for General
-// only), one insatiable High-Performance job pinning the wants mask, and a
-// stream of small General jobs whose every arrival sweeps the full pool.
-ShardCell run_shard_cell(std::size_t devices, std::size_t shards,
-                         std::size_t general_jobs, std::uint64_t seed) {
-  const SimTime spacing = 300.0;
-  const SimTime horizon =
-      spacing * static_cast<double>(general_jobs + 2) + 2.0 * kHour;
-
-  std::vector<Device> fleet = make_scan_fleet(devices, horizon, seed);
-
-  std::vector<trace::JobSpec> jobs;
-  {
-    trace::JobSpec hp;  // the insatiable pin: no device qualifies
-    hp.rounds = 1;
-    hp.demand = static_cast<int>(devices);
-    hp.category = ResourceCategory::kHighPerf;
-    hp.arrival = 0.0;
-    jobs.push_back(hp);
-  }
-  for (std::size_t k = 0; k < general_jobs; ++k) {
-    trace::JobSpec g;
-    g.rounds = 1;
-    g.demand = 16;
-    g.category = ResourceCategory::kGeneral;
-    g.arrival = spacing * static_cast<double>(k + 1);
-    g.nominal_task_s = 60.0;
-    g.task_cv = 0.0;
-    jobs.push_back(g);
-  }
-
-  sim::Engine engine(Rng::derive(seed, "engine"));
-  engine.set_shards(shards);
-  ResourceManager manager(PolicyRegistry::instance().create(
-      "fifo", {}, Rng::derive(seed, "scheduler")));
-  CoordinatorConfig ccfg;
-  ccfg.horizon = horizon;
-  ccfg.seed = seed;
-  Coordinator coord(engine, manager, std::move(fleet), std::move(jobs), ccfg);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  coord.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ShardCell r;
-  r.devices = devices;
-  r.jobs = general_jobs + 1;
-  r.shards = shards;
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.sweep_wall_s = coord.shard_stats().sweep_wall_s;
-  r.hstats = coord.hotpath_stats();
-  r.sweep_visits = r.hstats.sweep_visits;
-  r.visits_per_sec = r.sweep_wall_s > 0.0
-                         ? static_cast<double>(r.sweep_visits) / r.sweep_wall_s
-                         : 0.0;
-  const RunResult res = collect_results(coord, "shards");
-  r.avg_jct = res.avg_jct();
-  r.jcts.reserve(res.jobs.size());
-  for (const auto& j : res.jobs) r.jcts.push_back(j.jct);
-  return r;
-}
-
-// The canonical trajectory and sweep counters must not depend on the shard
-// count at all — this is the bench-side shard differential.
-bool shard_cells_match(const ShardCell& base, const ShardCell& cell) {
-  return base.jcts == cell.jcts && base.avg_jct == cell.avg_jct &&
-         base.hstats.sweeps == cell.hstats.sweeps &&
-         base.hstats.sweep_visits == cell.hstats.sweep_visits &&
-         base.hstats.sweep_offers == cell.hstats.sweep_offers &&
-         base.hstats.sweep_skips == cell.hstats.sweep_skips;
-}
-
-void write_shard_json(std::ofstream& out, const std::vector<ShardCell>& cells) {
-  out << "  \"shard_cells\": [\n";
-  char buf[256];
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ShardCell& c = cells[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"devices\": %zu, \"jobs\": %zu, \"mode\": "
-                  "\"sweep-shards-%zu\", \"wall_s\": %.6f, "
-                  "\"sweep_wall_s\": %.6f, \"sweep_visits\": %llu, "
-                  "\"visits_per_sec\": %.1f, \"avg_jct\": %.6f}%s\n",
-                  c.devices, c.jobs, c.shards, c.wall_s, c.sweep_wall_s,
-                  static_cast<unsigned long long>(c.sweep_visits),
-                  c.visits_per_sec, c.avg_jct,
-                  i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -439,7 +293,6 @@ int main(int argc, char** argv) {
   double horizon_days = 0.25;
   std::uint64_t seed = 77;
   int repeats = 3;
-  double min_shard_speedup = -1.0;  // <0: 1.2 on full runs, off on --quick
   double max_journal_overhead = 0.10;
   // Numeric flags go through the hardened util/parse.h helpers (the same
   // semantics ScenarioSpec key=value parsing uses): the unchecked
@@ -451,9 +304,6 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
         quick = true;
-      } else if (arg.rfind("--min-shard-speedup=", 0) == 0) {
-        min_shard_speedup =
-            internal::parse_double("--min-shard-speedup", arg.substr(20));
       } else if (arg.rfind("--max-journal-overhead=", 0) == 0) {
         max_journal_overhead =
             internal::parse_positive("--max-journal-overhead", arg.substr(23));
@@ -492,7 +342,6 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{4, 16} : std::vector<std::size_t>{4, 16, 64};
 
   std::vector<CellResult> cells;
-  bool all_match = true;
   std::printf("%9s %5s | %12s %9s | %10s %10s %10s %6s %8s\n", "devices",
               "jobs", "ev/s", "us/event", "visits", "offers", "candidates",
               "views", "rescans");
@@ -513,40 +362,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sharded sweep cells -------------------------------------------------
-  // The wants mask never empties (an insatiable High-Perf job), so every
-  // General-job arrival sweeps the whole pool and skips ~everything by
-  // signature: the regime the partition/execute/merge pipeline targets.
-  // Floor re-tuned after the struct-of-arrays filter landed: the serial
-  // sweep itself got ~3-5x faster (the contiguous bitmask scan), so the
-  // residual sharded headroom on a single-core container is the batching
-  // effect alone — multi-core machines stack real parallelism on top.
-  if (min_shard_speedup < 0.0) min_shard_speedup = quick ? 0.0 : 1.2;
-  const std::size_t shard_devices = quick ? 150'000 : 1'000'000;
-  const std::size_t shard_jobs = quick ? 12 : 24;
-  const std::vector<std::size_t> shard_axis =
-      quick ? std::vector<std::size_t>{1, 8}
-            : std::vector<std::size_t>{1, 2, 4, 8};
-
-  std::printf("\nsharded sweep throughput (%zu devices, insatiable pin):\n",
-              shard_devices);
-  std::printf("%7s | %12s %12s | %9s %5s\n", "shards", "visits/s",
-              "sweep-wall s", "speedup", "match");
-  std::vector<ShardCell> shard_cells;
-  for (const std::size_t shards : shard_axis) {
-    ShardCell c = run_shard_cell(shard_devices, shards, shard_jobs, seed);
-    const ShardCell& base = shard_cells.empty() ? c : shard_cells.front();
-    const bool match = shard_cells_match(base, c);
-    all_match = all_match && match;
-    std::printf("%7zu | %12.0f %12.3f | %8.2fx %5s\n", c.shards,
-                c.visits_per_sec, c.sweep_wall_s,
-                base.visits_per_sec > 0.0
-                    ? c.visits_per_sec / base.visits_per_sec
-                    : 0.0,
-                match ? "yes" : "NO");
-    shard_cells.push_back(std::move(c));
-  }
-
   // --- journaling overhead -------------------------------------------------
   // Durability must be an observer, not a tax: the identical 150k-device
   // cell with the event journal off and on. Gate on wall-time overhead.
@@ -561,7 +376,6 @@ int main(int argc, char** argv) {
       &journal_gate_ratio);
   const bool journal_match =
       joff.avg_jct == jon.avg_jct && joff.events == jon.events;
-  all_match = all_match && journal_match;
   const double overhead = journal_gate_ratio - 1.0;
   std::printf("%12s | %12s %12s | %8s %5s\n", "mode", "wall s", "ev/s",
               "overhead", "match");
@@ -575,12 +389,10 @@ int main(int argc, char** argv) {
   cells.push_back(joff);
   cells.push_back(jon);
 
-  write_json(out_path, horizon_days, cells, shard_cells);
+  write_json(out_path, horizon_days, cells);
   bench::note("wrote " + out_path);
-  if (!all_match) {
-    std::fprintf(stderr,
-                 "FAIL: modes diverged (shards-vs-serial or "
-                 "journal-on-vs-off)\n");
+  if (!journal_match) {
+    std::fprintf(stderr, "FAIL: journal-on and journal-off runs diverged\n");
     return 1;
   }
   if (overhead > max_journal_overhead) {
@@ -597,33 +409,6 @@ int main(int argc, char** argv) {
                   "journaling overhead %.1f%% (ceiling %.0f%%)",
                   100.0 * overhead, 100.0 * max_journal_overhead);
     bench::note(note);
-  }
-
-  if (min_shard_speedup > 0.0 && shard_cells.size() >= 2) {
-    // Floor on the BEST shard cell, not the largest: on core-starved
-    // runners the top shard count is not necessarily the fastest, and the
-    // scaling evidence the floor guards is "sharding buys throughput at
-    // SOME width", not a monotone curve.
-    const ShardCell& base = shard_cells.front();
-    const ShardCell* top = &shard_cells[1];
-    for (std::size_t i = 2; i < shard_cells.size(); ++i) {
-      if (shard_cells[i].visits_per_sec > top->visits_per_sec) {
-        top = &shard_cells[i];
-      }
-    }
-    const double speedup = base.visits_per_sec > 0.0
-                               ? top->visits_per_sec / base.visits_per_sec
-                               : 0.0;
-    if (speedup < min_shard_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: best sweep throughput (shards=%zu) is only %.2fx "
-                   "of shards=1 (floor %.2fx)\n",
-                   top->shards, speedup, min_shard_speedup);
-      return 1;
-    }
-    bench::note("shards=" + std::to_string(top->shards) +
-                " sweep-throughput speedup " + std::to_string(speedup) +
-                "x (floor " + std::to_string(min_shard_speedup) + "x)");
   }
 
   if (!baseline_path.empty()) {
@@ -681,38 +466,6 @@ int main(int argc, char** argv) {
                        "journal-off throughput ratio %.2fx is >%.0f%% below "
                        "baseline %.2fx\n",
                        on.devices, on.jobs, ratio, 100.0 * tolerance,
-                       base_ratio);
-          ok = false;
-        }
-      }
-    }
-    // Shard cells gate on the same machine-invariant principle: the
-    // shards=N vs shards=1 sweep-throughput ratio against the baseline's.
-    if (shard_cells.size() >= 2) {
-      const ShardCell& serial = shard_cells.front();
-      double base_serial = 0.0;
-      const bool have_serial =
-          baseline_metric(text, serial.devices, serial.jobs,
-                          "sweep-shards-" + std::to_string(serial.shards),
-                          "visits_per_sec", &base_serial) &&
-          base_serial > 0.0 && serial.visits_per_sec > 0.0;
-      for (std::size_t i = 1; have_serial && i < shard_cells.size(); ++i) {
-        const ShardCell& c = shard_cells[i];
-        double base_n = 0.0;
-        if (!baseline_metric(text, c.devices, c.jobs,
-                             "sweep-shards-" + std::to_string(c.shards),
-                             "visits_per_sec", &base_n) ||
-            base_n <= 0.0 || c.visits_per_sec <= 0.0) {
-          continue;  // new cell
-        }
-        ++matched;
-        const double base_ratio = base_n / base_serial;
-        const double ratio = c.visits_per_sec / serial.visits_per_sec;
-        if (ratio < (1.0 - tolerance) * base_ratio) {
-          std::fprintf(stderr,
-                       "FAIL: %zu devices, shards=%zu: sweep-throughput "
-                       "speedup %.2fx is >%.0f%% below baseline %.2fx\n",
-                       c.devices, c.shards, ratio, 100.0 * tolerance,
                        base_ratio);
           ok = false;
         }

@@ -19,8 +19,8 @@
 //                   device sessions — O(devices) memory)
 //   protocol keys   protocol=<sync|overcommit|async> + protocol.<key>
 //                   (round-aggregation regime; see --list for knobs)
-//   execution keys  shards (1-64, sharded fleet execution on a bounded
-//                   worker pool; byte-identical at any value)
+//   execution keys  shards (1-64, accepted as a no-op: journal headers
+//                   carry it; runs are identical at any value)
 //   topology keys   topology (flat|hier), topo.regions (2-64),
 //                   topo.sync_latency (region->global uplink seconds;
 //                   0 is byte-identical to flat), topo.phase_spread
@@ -248,10 +248,8 @@ int main(int argc, char** argv) {
       std::printf("%s", protocol::describe_protocols().c_str());
       std::printf(
           "execution (scenario keys):\n"
-          "  shards=<1-64> sharded fleet execution: partition/execute/merge "
-          "sweeps\n"
-          "                and index slices on a bounded worker pool;\n"
-          "                byte-identical results at any shard count\n");
+          "  shards=<1-64> accepted as a no-op (journal headers carry it);\n"
+          "                runs are identical at any value\n");
       std::printf(
           "topology (scenario keys):\n"
           "  topology=<flat|hier>    coordination topology (default flat: "

@@ -75,9 +75,9 @@ struct TrafficCommand {
 class LiveSession {
  public:
   // Mirrors run_with_sink: engine seeded from the experiment's "engine"
-  // stream, shards configured before the coordinator exists, matrix +
-  // user observers installed in order. `sink` may be null (dry runs).
-  // The experiment, observers and sink must outlive the session.
+  // stream, matrix + user observers installed in order. `sink` may be
+  // null (dry runs). The experiment, observers and sink must outlive the
+  // session.
   LiveSession(const Experiment& ex, std::unique_ptr<Scheduler> scheduler,
               std::string label, journal::JournalSink* sink);
   ~LiveSession();

@@ -78,12 +78,10 @@ struct ScenarioSpec {
   // Simulation.
   SimTime horizon = 28.0 * kDay;
 
-  // shards=N: sharded fleet execution (1-64). The fleet is partitioned
-  // into N contiguous device shards and the fleet-proportional passes
-  // (idle-pool sweep filtering, eligibility-index rebuckets) run on a
-  // bounded worker pool with shard-ordered merges.
-  // Purely an execution knob: results are byte-identical for any value,
-  // and the default 1 runs the serial path with no pool at all.
+  // shards=N (1-64): accepted and range-checked as a no-op, because
+  // journal headers carry it (to_kv() keeps emitting it). Every run
+  // executes serially and identically at any value; N only sets how many
+  // per-range idle-pool counts a snapshot records.
   std::size_t shards = 1;
 
   // Coordination topology (src/topology/). topology=flat (the default,

@@ -41,30 +41,10 @@
 // and the manager's wants mask are checked for exact equality against a
 // test-only brute-force reference (tests/reference/brute_force.h).
 //
-// Sharded fleet execution: when the engine carries a worker pool
-// (`Engine::set_shards(N)`, the `shards=N` scenario knob), the fleet is
-// partitioned into N contiguous device shards, each owning a slice of the
-// eligibility index and a segment of the idle pool, and the heavy
-// fleet-proportional passes run shard-parallel through a
-// partition/execute/merge pipeline:
-//
-//   * idle-pool sweeps realize the canonical per-sweep Fisher–Yates
-//     permutation in batches, filter each batch's devices against a
-//     snapshot of the manager's wants mask in parallel (a pure read of
-//     cached signatures), and replay offers serially in permutation order;
-//   * eligibility-index rebuckets split by device range and merge exact
-//     per-shard aggregates in shard order.
-//
-// Sharding is an execution knob, not a semantic one: every parallel phase
-// is pure, every merged quantity is exact (integer counts, integer-valued
-// double sums, maxima), and every observable action (offers, RNG draws on
-// live streams, counters) replays in the canonical serial order — so
-// results are byte-identical for ANY shard count, and shards=1 runs
-// today's serial code untouched. The sweep *selection* stream in
-// particular stays the single canonical per-sweep derived stream: a
-// per-shard selection stream would tie the permutation to the shard count
-// and break the any-N identity contract. Shard-variant execution
-// telemetry lives in ShardStats, deliberately outside RunResult.
+// Every fleet pass runs serially on the engine's thread. The `shards=N`
+// scenario knob is accepted for journal compatibility and changes no
+// execution: it only sets how many per-range idle-pool counts a snapshot
+// records (CoordinatorConfig::shards).
 #pragma once
 
 #include <memory>
@@ -135,6 +115,12 @@ struct CoordinatorConfig {
   // and phase_spread=0 a hier run is byte-identical to flat — the
   // equivalence the topology differential wall enforces.
   topology::TopologySpec topo;
+
+  // The scenario's `shards=` value, [1, 64]. Sets only the number S of
+  // per-range counts in the snapshot's idle-pool section (pool members
+  // counted per FleetPartition(devices, S) range at capture), the layout
+  // journals have always carried. Runs are identical at every value.
+  std::size_t shards = 1;
 };
 
 class Coordinator {
@@ -226,46 +212,9 @@ class Coordinator {
   [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
 
   // The struct-of-arrays hot-state store backing the sweep filter, the
-  // index rebuckets and the participation budgets. For tests (the shard
-  // differential wall's SoA-vs-live property checks read it).
+  // index rebuckets and the participation budgets. For tests (the
+  // SoA-vs-live signature and idle-position checks read it).
   [[nodiscard]] const FleetHotState& hot_state() const { return hot_; }
-
-  // --- sharded execution ------------------------------------------------
-  // Shard count in effect (the engine's worker pool, 1 when serial).
-  [[nodiscard]] std::size_t shards() const {
-    return workers_ != nullptr ? workers_->shards() : 1;
-  }
-  // Home shard of a device (contiguous device-range partition).
-  [[nodiscard]] std::size_t shard_of(std::size_t dev_idx) const {
-    return workers_ != nullptr ? shard_of_[dev_idx] : 0;
-  }
-  // Current per-shard idle-pool segment sizes (sums to the pool size).
-  [[nodiscard]] const std::vector<std::size_t>& idle_segment_sizes() const {
-    return segment_size_;
-  }
-  // Full recount of the segment accounting against the pool — O(pool).
-  // Test hook for the shard-local ownership invariant.
-  [[nodiscard]] bool validate_idle_segments() const;
-
-  // Shard-variant execution telemetry. Unlike HotpathStats (whose sweep
-  // visit/skip/offer counters are canonical and identical at any shard
-  // count), these describe how the work was decomposed — they necessarily
-  // differ across shard counts and are therefore NOT part of RunResult or
-  // any byte-identity surface.
-  struct ShardCounters {
-    std::uint64_t filter_entries = 0;  // batch entries this shard filtered
-    std::uint64_t filter_hits = 0;     // entries whose masked signature hit
-  };
-  struct ShardStats {
-    std::uint64_t sharded_sweeps = 0;  // sweeps run through the pipeline
-    std::uint64_t filter_batches = 0;  // parallel filter dispatches
-    // Wall time spent inside sweep passes (all flavors) — the denominator
-    // of the hotpath bench's sweep-throughput metric. Wall time, so shard-
-    // and machine-variant by nature.
-    double sweep_wall_s = 0.0;
-    std::vector<ShardCounters> per_shard;    // one slot per shard
-  };
-  [[nodiscard]] const ShardStats& shard_stats() const { return sstats_; }
 
   // The round protocol in effect (the configured one, or the sync default).
   [[nodiscard]] const protocol::RoundProtocol& round_protocol() const {
@@ -274,11 +223,10 @@ class Coordinator {
 
   // --- hierarchical topology --------------------------------------------
   // Hier telemetry (cross-region supply aggregations, uplink reports,
-  // per-region protocol activity). Like ShardStats, deliberately OUTSIDE
-  // RunResult: the zero-latency equivalence contract compares hier results
-  // byte-for-byte against flat runs, which have no regions. Empty
-  // per_region in flat mode. The differential wall's vacuousness guards
-  // read these.
+  // per-region protocol activity). Deliberately OUTSIDE RunResult: the
+  // zero-latency equivalence contract compares hier results byte-for-byte
+  // against flat runs, which have no regions. Empty per_region in flat
+  // mode. The differential wall's vacuousness guards read these.
   [[nodiscard]] const topology::TopologyStats& topology_stats() const {
     return tstats_;
   }
@@ -297,13 +245,18 @@ class Coordinator {
 
   // --- durability -------------------------------------------------------
   // Serializes the coordinator's full mutable state — engine clock + RNG,
-  // idle pool and segment accounting, per-device participation budgets,
+  // idle pool and its per-range counts, per-device participation budgets,
   // per-job round/request state, protocol and hot-path counters, open-loop
   // and streaming progress — into named snapshot sections. Called at the
   // `snapshot_every` cadence during journaled runs; public so tests can
   // compare live and re-executed coordinators directly. Deterministic:
   // two coordinators in identical states produce identical bytes.
   [[nodiscard]] journal::StateSnapshot capture_snapshot();
+
+  // Idle-pool members per FleetPartition(devices, cfg.shards) range,
+  // recounted on each call — O(pool). The snapshot's idle-pool section
+  // and the inspector both print these counts.
+  [[nodiscard]] std::vector<std::size_t> idle_range_counts() const;
 
   // --- protocol accounting ----------------------------------------------
   // Aggregate round-protocol counters: commits, response staleness
@@ -349,12 +302,6 @@ class Coordinator {
   void offer_idle_pool(SimTime now);
   // One pass over the idle pool. Only offer_idle_pool may call this.
   void sweep_idle_pool(SimTime now);
-  // The sharded partition/execute/merge flavor of one sweep pass: batches
-  // of the canonical permutation are drawn serially, filtered in parallel
-  // against a wants-mask snapshot, and offered serially. Byte-identical to
-  // the serial pass (same visits/skips/offers/draw stream); only reached
-  // with a worker pool and a pool large enough to batch.
-  void sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng);
   void on_response(JobId job, RequestId request, std::size_t dev_idx,
                    int assigned_round, double response_time);
   void maybe_complete(Job* job);
@@ -409,15 +356,6 @@ class Coordinator {
   // event. Assignment-side erases are NOT check-outs (they are recorded
   // as assignments), so the three session-end sites call this instead.
   void retire_idle(std::size_t d);
-
-  // --- sharded execution state ------------------------------------------
-  // Engine worker pool (null = serial) and the fleet partition it implies.
-  // The pool must be configured on the engine before the coordinator is
-  // constructed and must outlive the run.
-  sim::WorkerPool* workers_ = nullptr;
-  std::vector<std::uint32_t> shard_of_;     // device -> home shard
-  std::vector<std::size_t> segment_size_;   // per-shard idle-segment sizes
-  ShardStats sstats_;
 
   // --- hierarchical topology state --------------------------------------
   // Region partition (1 region in flat mode), the uplink latency every

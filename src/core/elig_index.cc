@@ -2,13 +2,11 @@
 
 #include <stdexcept>
 
-#include "sim/worker_pool.h"
-
 namespace venn {
 
 EligibilityIndex::EligibilityIndex(std::span<const Device> devices)
     : owned_(std::make_unique<FleetHotState>()), hot_(owned_.get()) {
-  owned_->init(devices, /*shards=*/1);
+  owned_->init(devices);
   seed_zero_bucket();
 }
 
@@ -40,10 +38,6 @@ std::size_t EligibilityIndex::register_requirement(const Requirement& req) {
   // Dense column scans (spec + signature side by side in the hot store)
   // instead of chasing per-device pointers.
   const std::uint64_t mask = 1ULL << bit;
-  if (pool_ != nullptr) {
-    rebucket_sharded(req, mask);
-    return bit;
-  }
   const DeviceSpec* specs = hot_->spec.data();
   std::uint64_t* sigs = hot_->signature.data();
   const double* checkins = hot_->session_checkins.data();
@@ -64,50 +58,6 @@ std::size_t EligibilityIndex::register_requirement(const Requirement& req) {
     if (from.device_count == 0) atoms_.erase(old_sig);
   }
   return bit;
-}
-
-void EligibilityIndex::rebucket_sharded(const Requirement& req,
-                                        std::uint64_t mask) {
-  // Parallel phase: each shard's slice of the signature column is private —
-  // the eligibility predicate reads the immutable spec column, the new-bit
-  // flip writes only slice-local entries, and bucket movements are
-  // aggregated per source signature into a shard-local delta map.
-  const std::size_t n = hot_->size();
-  const std::size_t shards = pool_->shards();
-  const FleetPartition partition(n, shards);
-  const DeviceSpec* specs = hot_->spec.data();
-  std::uint64_t* sigs = hot_->signature.data();
-  const double* checkins = hot_->session_checkins.data();
-  std::vector<std::unordered_map<std::uint64_t, Atom>> deltas(shards);
-  pool_->run_shards([&](std::size_t s) {
-    auto& local = deltas[s];
-    const std::size_t end = partition.end(s);
-    for (std::size_t d = partition.begin(s); d < end; ++d) {
-      if (!req.eligible(specs[d])) continue;
-      const std::uint64_t old_sig = sigs[d];
-      sigs[d] = old_sig | mask;
-      Atom& delta = local[old_sig];
-      ++delta.device_count;
-      delta.session_checkins += checkins[d];
-    }
-  });
-
-  // Shard-ordered merge. Device counts are integers and session check-in
-  // totals are integer-valued doubles, so bucket contents come out exactly
-  // equal to the serial per-device walk no matter how the fleet was
-  // sliced — the serial-vs-sharded equality test asserts this.
-  mstats_.device_rescans += n;
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (const auto& [old_sig, delta] : deltas[s]) {
-      Atom& from = atoms_.at(old_sig);
-      from.device_count -= delta.device_count;
-      from.session_checkins -= delta.session_checkins;
-      Atom& to = atoms_[old_sig | mask];
-      to.device_count += delta.device_count;
-      to.session_checkins += delta.session_checkins;
-      if (from.device_count == 0) atoms_.erase(old_sig);
-    }
-  }
 }
 
 std::size_t EligibilityIndex::eligible_count(std::size_t group) const {

@@ -55,10 +55,6 @@
 #include "device/eligibility.h"
 #include "device/fleet_partition.h"
 
-namespace venn::sim {
-class WorkerPool;
-}  // namespace venn::sim
-
 namespace venn {
 
 class EligibilityIndex {
@@ -96,17 +92,6 @@ class EligibilityIndex {
   // requirement, O(#requirements) afterwards — instead of every supply
   // query paying a fleet scan.
   std::size_t register_requirement(const Requirement& req);
-
-  // Shard the per-registration rebucket across `pool`: each shard owns a
-  // contiguous slice of the signature array (the per-shard index slice of
-  // sharded fleet execution), computes its slice's new-bit flips and
-  // per-source-signature movement aggregates, and the caller folds the
-  // aggregates in shard order. Every merged quantity is exact (device
-  // counts, and session check-in totals that are integer-valued doubles),
-  // so the sharded rebucket is byte-identical to the serial one at any
-  // shard count — tests assert this. Null (the default) keeps the serial
-  // path. The pool must outlive the index.
-  void set_workers(sim::WorkerPool* pool) { pool_ = pool; }
 
   [[nodiscard]] std::size_t num_requirements() const { return reqs_.size(); }
   [[nodiscard]] const Requirement& requirement(std::size_t idx) const {
@@ -161,15 +146,10 @@ class EligibilityIndex {
   // starts eligible for no requirement).
   void seed_zero_bucket();
 
-  // The sharded flavor of register_requirement's rebucket pass.
-  void rebucket_sharded(const Requirement& req, std::uint64_t mask);
-
   std::vector<Requirement> reqs_;
   std::unique_ptr<FleetHotState> owned_;  // standalone-construction fallback
   FleetHotState* hot_ = nullptr;          // the store (owned_ or external)
   std::unordered_map<std::uint64_t, Atom> atoms_;
-
-  sim::WorkerPool* pool_ = nullptr;  // not owned; null = serial rebuckets
 
   MaintenanceStats mstats_;
 };

@@ -6,9 +6,8 @@
 
 namespace venn {
 
-void FleetHotState::init(std::span<const Device> devices, std::size_t shards) {
+void FleetHotState::init(std::span<const Device> devices) {
   const std::size_t n = devices.size();
-  partition = FleetPartition(n, shards);
 
   signature.assign(n, 0);
   idle_pos.assign(n, 0);

@@ -1,22 +1,16 @@
-// FleetPartition: the immutable device→shard map of sharded execution —
-// and FleetHotState, the struct-of-arrays store of the per-device state the
-// scheduling hot path actually touches.
+// FleetPartition: an immutable split of a device fleet into contiguous
+// index ranges — and FleetHotState, the struct-of-arrays store of the
+// per-device state the scheduling hot path actually touches.
 //
-// Sharded fleet execution partitions the device population into
-// `shards` contiguous index ranges — shard s owns
-// [num_devices·s/shards, num_devices·(s+1)/shards). Contiguity is what
-// makes the per-shard structures slices rather than scatter sets: a
-// shard's cut of the eligibility-index signature array is a subrange, its
-// idle-pool segment is countable with one load, and range loops stay
-// prefetch-friendly.
+// FleetPartition(n, k) gives part s the range [n·s/k, n·(s+1)/k). It is a
+// pure function of (num_devices, parts) — no state, no registration
+// order — so every user agrees by construction: topology::RegionMap
+// builds the hier device→region map on it, and snapshot capture counts
+// the idle pool per range of the scenario's `shards=` value (the
+// idle-pool section keeps the per-range counts journals have always
+// carried; see Coordinator::capture_snapshot).
 //
-// The partition is a pure function of (num_devices, shards) — no state,
-// no registration order — so every subsystem that mentions a home shard
-// (coordinator segment accounting, straggler-release ownership checks,
-// index rebuckets) agrees by construction, and a given shard count always
-// decomposes the fleet the same way.
-//
-// FleetHotState is the layout half of the same story. `Device` objects
+// FleetHotState is the fleet's hot-state layout. `Device` objects
 // carry cold state (id, spec, the materialized session vector) and are
 // ~80 bytes plus a heap allocation each; iterating them for the per-visit
 // sweep filter, the per-registration index rebucket or the hier region
@@ -31,8 +25,8 @@
 //                        index maintains (core/elig_index.cc writes it on
 //                        registration rebuckets; the sweep filter ANDs it
 //                        against the manager's wants mask). Contiguous
-//                        uint64s, so the batched signature∩wants pass is a
-//                        branch-light scan the compiler can vectorize.
+//                        uint64s, so a skipped sweep visit is one load
+//                        and one AND.
 //   * `idle_pos[d]`    — idle-pool position + 1; 0 = not parked. The
 //                        coordinator's dense pool keeps its vector of
 //                        members; this is the membership/position side.
@@ -51,10 +45,9 @@
 //
 // The arrays are plain data with no invariants of their own: the
 // coordinator owns the store, the eligibility index writes the signature
-// column, and every consumer indexes by the same device position the
-// partition shards over. Aggregate session statistics are accumulated in
-// device order at init (double sums are order-sensitive, so the order is
-// fixed).
+// column, and every consumer indexes by device position. Aggregate
+// session statistics are accumulated in device order at init (double sums
+// are order-sensitive, so the order is fixed).
 #pragma once
 
 #include <cstddef>
@@ -77,7 +70,7 @@ struct FleetPartition {
   FleetPartition(std::size_t devices, std::size_t shard_count)
       : num_devices(devices), shards(shard_count) {}
 
-  // Device-index range owned by shard s: [begin(s), end(s)).
+  // Device-index range of part s: [begin(s), end(s)).
   [[nodiscard]] std::size_t begin(std::size_t s) const {
     return num_devices * s / shards;
   }
@@ -85,9 +78,9 @@ struct FleetPartition {
     return num_devices * (s + 1) / shards;
   }
 
-  // Home shard of device d — the inverse of begin/end: shard_of(d) == s
-  // exactly when begin(s) <= d < end(s) (tests/shard_pool_test.cc checks
-  // the two agree over degenerate and non-dividing sizes).
+  // Part owning device d — the inverse of begin/end: shard_of(d) == s
+  // exactly when begin(s) <= d < end(s) (tests/topology_differential_test.cc
+  // checks the two agree over degenerate and non-dividing sizes).
   [[nodiscard]] std::size_t shard_of(std::size_t d) const {
     return ((d + 1) * shards - 1) / num_devices;
   }
@@ -101,14 +94,12 @@ class FleetHotState {
  public:
   FleetHotState() = default;
 
-  // Lays out the arrays for `devices` under `shards` contiguous shards and
-  // accumulates the population session statistics in device order (a
-  // fixed order — double sums are order-sensitive).
-  void init(std::span<const Device> devices, std::size_t shards);
+  // Lays out the arrays for `devices` and accumulates the population
+  // session statistics in device order (a fixed order — double sums are
+  // order-sensitive).
+  void init(std::span<const Device> devices);
 
   [[nodiscard]] std::size_t size() const { return spec.size(); }
-
-  FleetPartition partition;
 
   // --- hot columns, indexed by device position --------------------------
   std::vector<std::uint64_t> signature;   // eligibility signature cache

@@ -1,11 +1,13 @@
 // State snapshots: the durability anchor of journaled runs.
 //
 // Every `snapshot_every` round commits the coordinator captures its full
-// mutable state — engine clock and RNG, idle-pool vector and per-shard
-// segment sizes, per-device participation budgets, per-job round/request
-// state, protocol and hot-path counters, open-loop and streaming-churn
-// progress — into a StateSnapshot of named binary sections, written next
-// to the journal and marked in it with a kSnapshotMark record.
+// mutable state — engine clock and RNG, idle-pool vector and its
+// per-range counts (one per FleetPartition range of the scenario's
+// `shards=` value, recounted at capture), per-device participation
+// budgets, per-job round/request state, protocol and hot-path counters,
+// open-loop and streaming-churn progress — into a StateSnapshot of named
+// binary sections, written next to the journal and marked in it with a
+// kSnapshotMark record.
 //
 // Capture serializes *logical* state, not memory layout: the per-device
 // participation budgets, for instance, are read out of the fleet's

@@ -221,7 +221,6 @@ std::string CoordinatorDaemon::status_json() const {
   s += "\"jobs\":" + std::to_string(coord.jobs().size()) + ",";
   s += "\"unfinished_jobs\":" + std::to_string(coord.unfinished_jobs()) + ",";
   s += "\"ext_submitted\":" + std::to_string(coord.external_submitted()) + ",";
-  s += "\"shards\":" + std::to_string(coord.shards()) + ",";
   s += "\"protocol\":{";
   s += "\"commits\":" + std::to_string(p.commits) + ",";
   s += "\"responses\":" + std::to_string(p.responses) + ",";

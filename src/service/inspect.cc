@@ -25,8 +25,10 @@ void dump_state(std::string& out, const std::string& path,
   out += "commit " + std::to_string(commit) + "\n";
   out += "clock " + fmt_double(live.engine().now()) + "\n";
 
+  // Per-range counts over the scenario's shards= value; the "segments"
+  // label is part of the dump's stable format.
   out += "idle-pool " + std::to_string(coord.idle_pool_size()) + " segments";
-  for (const std::size_t n : coord.idle_segment_sizes()) {
+  for (const std::size_t n : coord.idle_range_counts()) {
     out += ' ' + std::to_string(n);
   }
   out += '\n';

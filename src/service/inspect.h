@@ -4,11 +4,11 @@
 // journaled run with the verifier armed to throw SeekReached the instant
 // the Nth kCommit record matches — the exact program point where cadence
 // snapshots are captured — then reads the coordinator out: sim clock, idle
-// pool segments, per-job progress and open requests, eligibility-index and
-// protocol summaries. When a stored snapshot exists at commit N, the
-// inspector additionally captures the replayed coordinator's snapshot and
-// compares the two byte for byte (the zero-drift proof, surfaced as
-// "snapshot at commit N: verified").
+// pool size and per-range counts, per-job progress and open requests,
+// eligibility-index and protocol summaries. When a stored snapshot exists
+// at commit N, the inspector additionally captures the replayed
+// coordinator's snapshot and compares the two byte for byte (the
+// zero-drift proof, surfaced as "snapshot at commit N: verified").
 //
 // Seeking past the journal's last commit refuses cleanly with the actual
 // commit count; it never partially replays.

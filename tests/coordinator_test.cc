@@ -3,6 +3,8 @@
 // failures, the one-job-per-day rule and idle-pool behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/metrics.h"
 #include "core/resource_manager.h"
 #include "protocol/builtins.h"
@@ -375,6 +377,79 @@ TEST(Coordinator, AbortMidComputationStragglerDisposition) {
       EXPECT_EQ(log.entries.size(), 2u);
     }
   }
+}
+
+// Pool positions are consistent: exactly idle_pool_size() devices carry a
+// nonzero idle_pos, and those positions are distinct slots 1..size.
+::testing::AssertionResult idle_positions_consistent(const Coordinator& c) {
+  const auto& pos = c.hot_state().idle_pos;
+  std::vector<bool> taken(c.idle_pool_size() + 1, false);
+  std::size_t parked = 0;
+  for (std::size_t d = 0; d < pos.size(); ++d) {
+    if (pos[d] == 0) continue;
+    ++parked;
+    if (pos[d] > c.idle_pool_size() || taken[pos[d]]) {
+      return ::testing::AssertionFailure()
+             << "device " << d << " holds bad or duplicate position "
+             << pos[d] << " (pool size " << c.idle_pool_size() << ")";
+    }
+    taken[pos[d]] = true;
+  }
+  if (parked != c.idle_pool_size()) {
+    return ::testing::AssertionFailure()
+           << parked << " devices parked, pool size " << c.idle_pool_size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Coordinator, StragglerReleaseReparksKeepPoolPositionsConsistent) {
+  // Over-selection cuts stragglers off at every commit and re-parks them
+  // into the idle pool with their day budget refunded; the re-parks and
+  // the sweep's deferred erases must leave the dense pool and the
+  // hot-state position column in agreement throughout the run.
+  std::vector<Device> devices;
+  Rng rng(5);
+  for (int i = 0; i < 600; ++i) {
+    // Spread of speeds so over-selected cohorts always have stragglers.
+    const double score = 0.2 + 0.6 * rng.uniform();
+    devices.emplace_back(DeviceId(i), DeviceSpec{score, score},
+                         std::vector<Session>{{0.0, 14.0 * kDay}});
+  }
+  std::vector<trace::JobSpec> jobs;
+  for (int j = 0; j < 4; ++j) {
+    trace::JobSpec s = one_job(3, 40, 100.0 * j, 300.0, 600.0);
+    s.task_cv = 0.4;
+    jobs.push_back(s);
+  }
+  sim::Engine engine(9);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  const protocol::OvercommitProtocol overcommit(1.5);
+  CoordinatorConfig cfg;
+  cfg.horizon = 7.0 * kDay;
+  cfg.seed = 9;
+  cfg.protocol = &overcommit;
+  Coordinator coord(engine, mgr, std::move(devices), std::move(jobs), cfg);
+  coord.setup();
+  std::size_t peak_pool = 0;
+  for (int slice = 1; slice <= 8; ++slice) {
+    engine.run_until(cfg.horizon * slice / 8);
+    EXPECT_TRUE(idle_positions_consistent(coord)) << "slice " << slice;
+    peak_pool = std::max(peak_pool, coord.idle_pool_size());
+  }
+  EXPECT_GT(coord.protocol_stats().stragglers_released, 0u);
+  EXPECT_GT(peak_pool, 0u);
+}
+
+TEST(Coordinator, RejectsZeroShards) {
+  // shards sizes the snapshot's per-range idle counts; zero ranges cannot
+  // hold a pool member.
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  CoordinatorConfig cfg;
+  cfg.shards = 0;
+  EXPECT_THROW(Coordinator(engine, mgr, always_on(4, {0.5, 0.5}, kDay),
+                           {one_job(1, 2)}, cfg),
+               std::invalid_argument);
 }
 
 // Property sweep: under arbitrary seeds, protocol invariants hold for a

@@ -4,7 +4,9 @@
 //
 //   1. journal=1 is a pure observer — a journaled run produces the SAME
 //      RunResult and TSDB streams, byte for byte, as the same scenario
-//      with journaling off (across round protocols and shard counts).
+//      with journaling off (across round protocols). A shards=4 run —
+//      `shards=` is a no-op kept for journal headers — journals the same
+//      records and replays like the shards=1 run.
 //   2. Experiment::replay re-executes a journal byte-identically: every
 //      event matches its record, and the replayed RunResult equals the
 //      original.
@@ -12,7 +14,7 @@
 //      (journal.halt-after) leaves a journal that resume-replay completes
 //      to the EXACT results of the uninterrupted run — verified prefix,
 //      snapshot compared field-for-field at its marked commit, live tail.
-//      Pinned across shards {1,4} × protocols {sync, overcommit, async}.
+//      Pinned across protocols {sync, overcommit, async}.
 //
 // Plus the guard rails: tampered journals fail replay loudly, runs whose
 // inputs are not kv-expressible are refused at replay, and the journal
@@ -22,10 +24,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "journal/format.h"
+#include "journal/reader.h"
+#include "journal/snapshot.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -80,6 +86,13 @@ void expect_identical_streams(const TimeSeriesRecorder& a,
   }
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 // A fresh journal directory per test case (journal file names derive from
 // scenario name + label, so cases must not share directories).
 std::string journal_dir(const std::string& tag) {
@@ -92,43 +105,121 @@ std::string journal_dir(const std::string& tag) {
 
 // journal=1 (with snapshots) changes nothing about the results: RunResult
 // and TSDB streams are byte-identical to the unjournaled run, across
-// protocols and shard counts.
+// protocols. Then the one shards=4 case: it runs, journals and replays
+// exactly like shards=1 while its header still says shards=4.
 TEST(ReplayDifferential, JournalingIsInvisibleAcrossProtocolsAndShards) {
+  const auto scenario = [](const char* proto) {
+    ScenarioSpec sc;
+    sc.seed = 53;
+    sc.num_devices = 3'000;
+    sc.num_jobs = 6;
+    sc.horizon = 3.0 * kDay;
+    sc.set("churn", "weibull");
+    sc.set("protocol", proto);
+    return sc;
+  };
+  const auto journaled = [](ScenarioSpec sc, const std::string& tag) {
+    sc.set("journal", "1");
+    sc.set("journal.dir", journal_dir("invis_" + tag));
+    sc.set("snapshot_every", "4");
+    return sc;
+  };
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      ScenarioSpec base;
-      base.seed = 53;
-      base.num_devices = 3'000;
-      base.num_jobs = 6;
-      base.horizon = 3.0 * kDay;
-      base.shards = shards;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      const std::string label =
-          std::string(proto) + " shards=" + std::to_string(shards);
+    const ScenarioSpec base = scenario(proto);
+    TimeSeriesRecorder plain_rec;
+    const RunResult plain = [&] {
+      ExperimentBuilder b;
+      b.scenario(base).observe(plain_rec);
+      return b.run();
+    }();
 
-      TimeSeriesRecorder plain_rec;
-      const RunResult plain = [&] {
-        ExperimentBuilder b;
-        b.scenario(base).observe(plain_rec);
-        return b.run();
-      }();
+    TimeSeriesRecorder jrec;
+    const RunResult jrun = [&] {
+      ExperimentBuilder b;
+      b.scenario(journaled(base, proto)).observe(jrec);
+      return b.run();
+    }();
 
-      ScenarioSpec journaled = base;
-      journaled.set("journal", "1");
-      journaled.set("journal.dir", journal_dir("invis_" + label));
-      journaled.set("snapshot_every", "4");
-      TimeSeriesRecorder jrec;
-      const RunResult jrun = [&] {
-        ExperimentBuilder b;
-        b.scenario(journaled).observe(jrec);
-        return b.run();
-      }();
+    expect_identical(plain, jrun, proto);
+    expect_identical_streams(plain_rec, jrec, proto);
+  }
 
-      expect_identical(plain, jrun, label);
-      expect_identical_streams(plain_rec, jrec, label);
+  const ScenarioSpec one = journaled(scenario("overcommit"), "shards1");
+  ScenarioSpec four = journaled(scenario("overcommit"), "shards4");
+  four.set("shards", "4");
+  const std::string kv = four.to_kv();
+  EXPECT_NE(kv.find("\nshards=4\n"), std::string::npos) << kv;
+
+  TimeSeriesRecorder rec1;
+  TimeSeriesRecorder rec4;
+  const RunResult r1 = ExperimentBuilder().scenario(one).observe(rec1).run();
+  const RunResult r4 = ExperimentBuilder().scenario(four).observe(rec4).run();
+  expect_identical(r1, r4, "shards=4");
+  expect_identical_streams(rec1, rec4, "shards=4");
+
+  // Journals: the header differs only in the shards line; every record
+  // after it is byte-identical.
+  const std::string path1 = api::journal_file_path(one, r1.scheduler);
+  const std::string path4 = api::journal_file_path(four, r4.scheduler);
+  const std::string bytes1 = read_file(path1);
+  const std::string bytes4 = read_file(path4);
+  std::size_t end1 = 0;
+  std::size_t end4 = 0;
+  journal::JournalHeader h1 = journal::decode_header(bytes1, &end1);
+  const journal::JournalHeader h4 = journal::decode_header(bytes4, &end4);
+  const std::size_t at = h1.scenario_kv.find("\nshards=1\n");
+  ASSERT_NE(at, std::string::npos) << h1.scenario_kv;
+  h1.scenario_kv.replace(at, 10, "\nshards=4\n");
+  EXPECT_EQ(h1.scenario_kv, h4.scenario_kv);
+  EXPECT_EQ(h1.inputs_digest, h4.inputs_digest);
+  EXPECT_EQ(bytes1.substr(end1), bytes4.substr(end4));
+
+  // Snapshots: the same commits, every section identical except that the
+  // idle-pool section ends in 4 per-range counts instead of 1.
+  journal::JournalReader reader(path4);
+  const std::optional<std::uint64_t> last = reader.last_snapshot_commits();
+  ASSERT_TRUE(last.has_value());
+  std::size_t pooled = 0;
+  for (std::uint64_t c = 4; c <= *last; c += 4) {
+    const journal::StateSnapshot s1 =
+        journal::read_snapshot_file(journal::snapshot_path(path1, c));
+    const journal::StateSnapshot s4 =
+        journal::read_snapshot_file(journal::snapshot_path(path4, c));
+    ASSERT_EQ(s1.sections.size(), s4.sections.size()) << "commit " << c;
+    for (std::size_t i = 0; i < s1.sections.size(); ++i) {
+      const auto& [name, b1] = s1.sections[i];
+      const auto& b4 = s4.sections[i].second;
+      ASSERT_EQ(name, s4.sections[i].first);
+      if (name != "idle-pool") {
+        EXPECT_EQ(b1, b4) << name << " at commit " << c;
+        continue;
+      }
+      journal::Decoder d1(b1, 0);
+      journal::Decoder d4(b4, 0);
+      const std::uint64_t pool = d1.u64();
+      ASSERT_EQ(d4.u64(), pool);
+      std::vector<std::uint64_t> expected(4, 0);
+      const FleetPartition ranges(one.num_devices, 4);
+      for (std::uint64_t k = 0; k < pool; ++k) {
+        const std::uint64_t dev = d1.u64();
+        ASSERT_EQ(d4.u64(), dev);
+        ++expected[ranges.shard_of(dev)];
+      }
+      EXPECT_EQ(d1.u64(), 1u);
+      EXPECT_EQ(d1.u64(), pool);
+      EXPECT_EQ(d4.u64(), 4u);
+      for (const std::uint64_t n : expected) EXPECT_EQ(d4.u64(), n);
+      EXPECT_EQ(d1.remaining(), 0u);
+      EXPECT_EQ(d4.remaining(), 0u);
+      pooled += pool > 0 ? 1 : 0;
     }
   }
+  EXPECT_GT(pooled, 0u) << "no snapshot caught a non-empty idle pool";
+
+  // And the shards=4 journal replays strictly, snapshot verified.
+  const ReplayReport report = Experiment::replay(path4);
+  EXPECT_TRUE(report.snapshot_verified);
+  expect_identical(r4, report.result, "shards=4 replay");
 }
 
 // ------------------------------------------------------------ exact replay --
@@ -234,62 +325,57 @@ TEST(ReplayDifferential, TamperedJournalFailsReplay) {
 
 // The tentpole guarantee: kill a journaled run at a deterministic commit,
 // resume-replay the journal, and land on the EXACT results of the
-// uninterrupted run — across shards {1,4} × all three round protocols.
+// uninterrupted run — across all three round protocols.
 TEST(ReplayDifferential, CrashRecoveryMatchesUninterruptedRun) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      ScenarioSpec base;
-      base.seed = 53;
-      base.num_devices = 2'500;
-      base.num_jobs = 6;
-      base.horizon = 3.0 * kDay;
-      base.shards = shards;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      const std::string label = std::string("crash ") + proto + " shards=" +
-                                std::to_string(shards);
+    ScenarioSpec base;
+    base.seed = 53;
+    base.num_devices = 2'500;
+    base.num_jobs = 6;
+    base.horizon = 3.0 * kDay;
+    base.set("churn", "weibull");
+    base.set("protocol", proto);
+    const std::string label = std::string("crash ") + proto;
 
-      const RunResult uninterrupted =
-          ExperimentBuilder().scenario(base).run();
+    const RunResult uninterrupted = ExperimentBuilder().scenario(base).run();
 
-      ScenarioSpec crashed = base;
-      crashed.set("journal", "1");
-      crashed.set("journal.dir", journal_dir("crash_" + label));
-      crashed.set("snapshot_every", "2");
-      crashed.set("journal.halt-after", "5");
-      bool halted = false;
-      std::string path;
-      try {
-        (void)ExperimentBuilder().scenario(crashed).run();
-      } catch (const SimulationHalted& h) {
-        halted = true;
-        EXPECT_EQ(h.commits_flushed, 5u) << label;
-      }
-      ASSERT_TRUE(halted) << label << ": run finished before commit 5";
+    ScenarioSpec crashed = base;
+    crashed.set("journal", "1");
+    crashed.set("journal.dir", journal_dir("crash_" + label));
+    crashed.set("snapshot_every", "2");
+    crashed.set("journal.halt-after", "5");
+    bool halted = false;
+    std::string path;
+    try {
+      (void)ExperimentBuilder().scenario(crashed).run();
+    } catch (const SimulationHalted& h) {
+      halted = true;
+      EXPECT_EQ(h.commits_flushed, 5u) << label;
+    }
+    ASSERT_TRUE(halted) << label << ": run finished before commit 5";
 
-      // The journal ends at the 5th flushed commit, no footer. Resume
-      // replay verifies the prefix, checks the stored snapshot at its
-      // marked commit, then continues live to the end of the run.
-      path = api::journal_file_path(crashed, uninterrupted.scheduler);
-      ReplayOptions opts;
-      opts.resume = true;
-      const ReplayReport report = Experiment::replay(path, opts);
-      EXPECT_TRUE(report.resumed_past_journal) << label;
-      EXPECT_TRUE(report.snapshot_verified) << label;
-      EXPECT_EQ(report.snapshot_commits, 4u) << label;
-      EXPECT_GT(report.events_verified, 0u) << label;
-      expect_identical(uninterrupted, report.result, label);
+    // The journal ends at the 5th flushed commit, no footer. Resume
+    // replay verifies the prefix, checks the stored snapshot at its
+    // marked commit, then continues live to the end of the run.
+    path = api::journal_file_path(crashed, uninterrupted.scheduler);
+    ReplayOptions opts;
+    opts.resume = true;
+    const ReplayReport report = Experiment::replay(path, opts);
+    EXPECT_TRUE(report.resumed_past_journal) << label;
+    EXPECT_TRUE(report.snapshot_verified) << label;
+    EXPECT_EQ(report.snapshot_commits, 4u) << label;
+    EXPECT_GT(report.events_verified, 0u) << label;
+    expect_identical(uninterrupted, report.result, label);
 
-      // Strict replay of a crashed journal refuses: the re-execution
-      // outruns the journal mid-run.
-      try {
-        (void)Experiment::replay(path);
-        FAIL() << label << ": strict replay accepted a crashed journal";
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("journal ended early"),
-                  std::string::npos)
-            << e.what();
-      }
+    // Strict replay of a crashed journal refuses: the re-execution
+    // outruns the journal mid-run.
+    try {
+      (void)Experiment::replay(path);
+      FAIL() << label << ": strict replay accepted a crashed journal";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("journal ended early"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

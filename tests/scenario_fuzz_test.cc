@@ -2,8 +2,8 @@
 //
 // The parser is the shared front door of the CLI, benches, sweep grids and
 // config files, and it grew a wide dotted-knob surface (arrival.* / mix.* /
-// churn.* / protocol.* plus the execution knob shards= and the
-// journal-compatibility key index=, which accepts only 1). This test
+// churn.* / protocol.* plus the journal-compatibility keys shards=, a
+// range-checked no-op, and index=, which accepts only 1). This test
 // throws a seeded random corpus at it and requires:
 //
 //   * no crash and no UB for ANY input — the only acceptable failure mode

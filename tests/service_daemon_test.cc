@@ -13,8 +13,8 @@
 //      on the same journal, remaining script resent from recovered_seq,
 //      drained. The drain dump (RunResult + TSDB streams at %.17g) must
 //      equal an uninterrupted in-process LiveSession run of the same
-//      script, across protocols {sync, overcommit, async} x shards {1,4},
-//      at seeded random crash points — plus a double-crash cycle and an
+//      script, across protocols {sync, overcommit, async}, at seeded
+//      random crash points — plus a double-crash cycle and an
 //      open-loop (admit) variant.
 //   2. Process-level: the REAL venn_coordinatord binary, driven over its
 //      Unix socket and killed with SIGKILL between acked requests, then
@@ -66,14 +66,12 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-ScenarioSpec make_scenario(const std::string& proto, std::size_t shards,
-                           bool open_loop) {
+ScenarioSpec make_scenario(const std::string& proto, bool open_loop) {
   ScenarioSpec sc;
   sc.seed = 91;
   sc.num_devices = 500;
   sc.num_jobs = 3;
   sc.horizon = 2.0 * kDay;
-  sc.shards = shards;
   sc.set("churn", "weibull");
   sc.set("protocol", proto);
   if (open_loop) {
@@ -183,44 +181,40 @@ TEST(ServiceDaemon, CrashResumeDrainMatchesUninterruptedRun) {
   std::mt19937_64 crash_rng(0xDEADD0E5);
   const PolicySpec policy = ExperimentBuilder().current_policy();
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      const std::string tag =
-          std::string(proto) + "_s" + std::to_string(shards);
-      SCOPED_TRACE(tag);
-      const ScenarioSpec sc = make_scenario(proto, shards, false);
-      const auto script =
-          build_script(/*seed=*/1000 + shards, sc.num_devices, sc.horizon,
-                       /*open_loop=*/false);
-      const std::string expected = reference_dump(sc, policy, script);
+    const std::string tag = proto;
+    SCOPED_TRACE(tag);
+    const ScenarioSpec sc = make_scenario(proto, false);
+    const auto script = build_script(/*seed=*/1001, sc.num_devices,
+                                     sc.horizon, /*open_loop=*/false);
+    const std::string expected = reference_dump(sc, policy, script);
 
-      const std::string journal = temp_path("venn_crash_" + tag + ".vjl");
-      const std::size_t crash_at = std::uniform_int_distribution<std::size_t>(
-          1, script.size() - 1)(crash_rng);
-      {
-        service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
-        play(daemon, script, 0, crash_at);
-        ASSERT_EQ(daemon.last_seq(), crash_at);
-        // Destroyed here WITHOUT drain: unflushed buffers are dropped,
-        // exactly like SIGKILL. Every acked command is already durable.
-      }
-      service::CoordinatorDaemon daemon = resumed_daemon(journal);
-      EXPECT_TRUE(daemon.resumed());
-      ASSERT_EQ(daemon.recovered_seq(), crash_at)
-          << "an acked command did not survive the crash";
-      play(daemon, script, daemon.recovered_seq(), script.size());
-      const std::string reply = daemon.dispatch("drain");
-      ASSERT_EQ(reply.rfind("ok drained ", 0), 0u) << reply;
-      EXPECT_TRUE(daemon.done());
-      EXPECT_EQ(read_file(daemon.result_path()), expected)
-          << tag << ": crashed-at-" << crash_at
-          << " run diverged from the uninterrupted baseline";
-
-      // The stitched journal (recovered prefix + live tail + footer) is
-      // one gapless transcript: strict replay verifies every byte.
-      const ReplayReport report = Experiment::replay(journal);
-      EXPECT_GT(report.events_verified, 0u);
-      EXPECT_FALSE(report.resumed_past_journal);
+    const std::string journal = temp_path("venn_crash_" + tag + ".vjl");
+    const std::size_t crash_at = std::uniform_int_distribution<std::size_t>(
+        1, script.size() - 1)(crash_rng);
+    {
+      service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
+      play(daemon, script, 0, crash_at);
+      ASSERT_EQ(daemon.last_seq(), crash_at);
+      // Destroyed here WITHOUT drain: unflushed buffers are dropped,
+      // exactly like SIGKILL. Every acked command is already durable.
     }
+    service::CoordinatorDaemon daemon = resumed_daemon(journal);
+    EXPECT_TRUE(daemon.resumed());
+    ASSERT_EQ(daemon.recovered_seq(), crash_at)
+        << "an acked command did not survive the crash";
+    play(daemon, script, daemon.recovered_seq(), script.size());
+    const std::string reply = daemon.dispatch("drain");
+    ASSERT_EQ(reply.rfind("ok drained ", 0), 0u) << reply;
+    EXPECT_TRUE(daemon.done());
+    EXPECT_EQ(read_file(daemon.result_path()), expected)
+        << tag << ": crashed-at-" << crash_at
+        << " run diverged from the uninterrupted baseline";
+
+    // The stitched journal (recovered prefix + live tail + footer) is
+    // one gapless transcript: strict replay verifies every byte.
+    const ReplayReport report = Experiment::replay(journal);
+    EXPECT_GT(report.events_verified, 0u);
+    EXPECT_FALSE(report.resumed_past_journal);
   }
 }
 
@@ -228,7 +222,7 @@ TEST(ServiceDaemon, CrashResumeDrainMatchesUninterruptedRun) {
 // again, drain. The journal absorbs both tears.
 TEST(ServiceDaemon, DoubleCrashStillConverges) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("async", 4, false);
+  const ScenarioSpec sc = make_scenario("async", false);
   const auto script =
       build_script(7, sc.num_devices, sc.horizon, /*open_loop=*/false);
   const std::string expected = reference_dump(sc, policy, script);
@@ -256,7 +250,7 @@ TEST(ServiceDaemon, DoubleCrashStillConverges) {
 // crosses the crash boundary exactly too.
 TEST(ServiceDaemon, OpenLoopAdmissionsSurviveCrash) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("sync", 1, /*open_loop=*/true);
+  const ScenarioSpec sc = make_scenario("sync", /*open_loop=*/true);
   const auto script =
       build_script(11, sc.num_devices, sc.horizon, /*open_loop=*/true);
   const std::string expected = reference_dump(sc, policy, script);
@@ -277,7 +271,7 @@ TEST(ServiceDaemon, OpenLoopAdmissionsSurviveCrash) {
 // A drained (complete) journal refuses to resume: there is nothing left.
 TEST(ServiceDaemon, ResumeRefusesCompletedJournal) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("sync", 1, false);
+  const ScenarioSpec sc = make_scenario("sync", false);
   const std::string journal = temp_path("venn_complete.vjl");
   {
     service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
